@@ -126,18 +126,20 @@ Workload make_workload(std::size_t n, st::stats::Rng& rng) {
     rate(c + 1, c, 1.0, 20);
   }
 
+  // Neighbour spans are re-read after every rate(): recording an
+  // interaction may compact the graph and free the row a span points into.
   for (NodeId v = static_cast<NodeId>(colluders); v < n; ++v) {
-    auto neighbors = w.graph.neighbors(v);
-    if (neighbors.empty()) continue;
+    const std::size_t degree = w.graph.degree(v);
+    if (degree == 0) continue;
     for (int k = 0; k < 2; ++k) {
-      NodeId peer = neighbors[rng.index(neighbors.size())];
+      NodeId peer = w.graph.neighbors(v)[rng.index(degree)];
       rate(v, peer, rng.bernoulli(0.85) ? 1.0 : -1.0, 1);
     }
     for (int k = 0; k < 2; ++k) {
-      NodeId mid = neighbors[rng.index(neighbors.size())];
-      auto second = w.graph.neighbors(mid);
-      if (second.empty()) continue;
-      NodeId hop2 = second[rng.index(second.size())];
+      NodeId mid = w.graph.neighbors(v)[rng.index(degree)];
+      const std::size_t mid_degree = w.graph.degree(mid);
+      if (mid_degree == 0) continue;
+      NodeId hop2 = w.graph.neighbors(mid)[rng.index(mid_degree)];
       if (hop2 != v) rate(v, hop2, 1.0, 1);
     }
     // A fifth of the population also rates a distant stranger — the

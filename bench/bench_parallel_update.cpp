@@ -129,17 +129,19 @@ Workload make_workload(std::size_t n, st::stats::Rng& rng) {
   // Normal background: every node rates two direct neighbours, one 2-hop
   // neighbour (friend-of-friend closeness, Eq. 3), and 1% of nodes rate a
   // distant stranger (bottleneck path, Eq. 4).
+  // Neighbour spans are re-read after every rate(): recording an
+  // interaction may compact the graph and free the row a span points into.
   for (NodeId v = static_cast<NodeId>(colluders); v < n; ++v) {
-    auto neighbors = w.graph.neighbors(v);
-    if (neighbors.empty()) continue;
+    const std::size_t degree = w.graph.degree(v);
+    if (degree == 0) continue;
     for (int k = 0; k < 2; ++k) {
-      NodeId peer = neighbors[rng.index(neighbors.size())];
+      NodeId peer = w.graph.neighbors(v)[rng.index(degree)];
       rate(v, peer, rng.bernoulli(0.85) ? 1.0 : -1.0, 2);
     }
-    NodeId mid = neighbors[rng.index(neighbors.size())];
-    auto second = w.graph.neighbors(mid);
-    if (!second.empty()) {
-      NodeId hop2 = second[rng.index(second.size())];
+    NodeId mid = w.graph.neighbors(v)[rng.index(degree)];
+    const std::size_t mid_degree = w.graph.degree(mid);
+    if (mid_degree > 0) {
+      NodeId hop2 = w.graph.neighbors(mid)[rng.index(mid_degree)];
       if (hop2 != v) rate(v, hop2, 1.0, 2);
     }
     if (rng.bernoulli(0.01)) {

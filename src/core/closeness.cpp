@@ -115,4 +115,103 @@ double ClosenessModel::closeness(const graph::SocialGraph& g,
   return bottleneck_closeness(g, *path);
 }
 
+// --- ClosenessTable -----------------------------------------------------------
+
+void ClosenessTable::build(const ClosenessModel& model,
+                           const graph::SocialGraph& g) {
+  const std::size_t n = g.size();
+  offsets_.resize(n + 1);
+  std::uint64_t half_edges = 0;
+  for (std::size_t a = 0; a < n; ++a) {
+    offsets_[a] = half_edges;
+    half_edges += g.degree(static_cast<graph::NodeId>(a));
+  }
+  offsets_[n] = half_edges;
+  out_.resize(half_edges);
+  in_.resize(half_edges);
+  for (std::size_t a = 0; a < n; ++a) {
+    const auto node = static_cast<graph::NodeId>(a);
+    const std::span<const graph::NodeId> targets = g.neighbors(node);
+    const std::span<const std::uint8_t> masks = g.relationship_masks(node);
+    const graph::SocialGraph::InteractionRow row = g.interactions(node);
+    const double total = g.total_interactions(node);
+    double* out = out_.data() + offsets_[a];
+    // Both rows are sorted by target, so f(a, b) for every neighbour b
+    // falls out of one merge; absent targets read as 0, as interaction().
+    std::size_t p = 0;
+    for (std::size_t k = 0; k < targets.size(); ++k) {
+      if (total <= 0.0) {
+        out[k] = 0.0;
+        continue;
+      }
+      while (p < row.targets.size() && row.targets[p] < targets[k]) ++p;
+      const double f = p < row.targets.size() && row.targets[p] == targets[k]
+                           ? row.counts[p]
+                           : 0.0;
+      out[k] = model.mask_mass(masks[k]) * f / total;
+    }
+  }
+  // Transpose: adjacency is symmetric and every row sorted, so walking
+  // nodes a ascending visits b's row in order — a's entry in b's row is
+  // always the next one cursor_[b] has not handed out.
+  cursor_.assign(offsets_.begin(), offsets_.end() - 1);
+  for (std::size_t a = 0; a < n; ++a) {
+    const std::span<const graph::NodeId> targets =
+        g.neighbors(static_cast<graph::NodeId>(a));
+    double* in = in_.data() + offsets_[a];
+    for (std::size_t k = 0; k < targets.size(); ++k) {
+      in[k] = out_[cursor_[targets[k]]++];
+    }
+  }
+}
+
+bool ClosenessTable::fof(const graph::SocialGraph& g, graph::NodeId i,
+                         graph::NodeId j, double& out) const noexcept {
+  const std::span<const graph::NodeId> ri = g.neighbors(i);
+  const std::span<const graph::NodeId> rj = g.neighbors(j);
+  const double* out_i = out_.data() + offsets_[i];
+  const double* in_j = in_.data() + offsets_[j];
+  double sum = 0.0;
+  bool any = false;
+  std::size_t a = 0;
+  std::size_t b = 0;
+  while (a < ri.size() && b < rj.size()) {
+    if (ri[a] < rj[b]) {
+      ++a;
+    } else if (rj[b] < ri[a]) {
+      ++b;
+    } else {
+      // Same exclusion as SocialGraph::common_friends(); out_i[a] is
+      // Omega_c(i, k) and in_j[b] is Omega_c(k, j).
+      if (ri[a] != i && ri[a] != j) {
+        sum += (out_i[a] + in_j[b]) / 2.0;
+        any = true;
+      }
+      ++a;
+      ++b;
+    }
+  }
+  if (!any) return false;
+  out = sum;
+  return true;
+}
+
+double ClosenessTable::bottleneck(
+    const graph::SocialGraph& g,
+    std::span<const graph::NodeId> path) const noexcept {
+  if (path.size() < 2) return 0.0;
+  double bottleneck = std::numeric_limits<double>::infinity();
+  for (std::size_t step = 0; step + 1 < path.size(); ++step) {
+    const std::span<const graph::NodeId> row = g.neighbors(path[step]);
+    const auto it = std::lower_bound(row.begin(), row.end(), path[step + 1]);
+    const double value =
+        it != row.end() && *it == path[step + 1]
+            ? out_[offsets_[path[step]] +
+                   static_cast<std::size_t>(it - row.begin())]
+            : 0.0;
+    bottleneck = std::min(bottleneck, value);
+  }
+  return std::isfinite(bottleneck) ? bottleneck : 0.0;
+}
+
 }  // namespace st::core

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <vector>
 
 #include "core/config.hpp"
 #include "graph/social_graph.hpp"
@@ -68,6 +69,12 @@ class ClosenessModel {
   bool weighted() const noexcept { return weighted_; }
   double lambda() const noexcept { return lambda_; }
 
+  /// Eq. (10)/(2) relationship mass of one type bitmask — the factor
+  /// adjacent_closeness() multiplies f(i,j) / sum_k f(i,k) by.
+  double mask_mass(std::uint8_t mask) const noexcept {
+    return mass_table_[mask];
+  }
+
  private:
   /// Eq. (10)'s decayed relationship-weight sum, or plain m(i,j) for the
   /// unweighted variant.
@@ -85,6 +92,60 @@ class ClosenessModel {
   double lambda_;
   RelationshipWeightFn weight_fn_;
   double mass_table_[1U << graph::kRelationshipCount];
+};
+
+/// Allocation-free Omega_c kernels for intervals that recompute most
+/// pairs (the plugin's dense path, DESIGN.md §14). build() evaluates
+/// Eq. 2/10 once per CSR half-edge with the exact expression of
+/// ClosenessModel::adjacent_closeness, so each kernel reproduces the
+/// matching ClosenessModel branch bit for bit while reading table
+/// entries instead of re-probing adjacency and interaction rows. A
+/// built table is a snapshot: valid until the graph's next mutation.
+///
+/// Thread safety: build() is single-threaded; the const kernels are pure
+/// reads and may run concurrently.
+class ClosenessTable {
+ public:
+  /// "j is not in i's neighbour row" for closeness()'s `adj_idx`.
+  static constexpr std::size_t kNotAdjacent = static_cast<std::size_t>(-1);
+
+  void build(const ClosenessModel& model, const graph::SocialGraph& g);
+
+  /// Eq. 2/10 for the half-edge (i, neighbors(i)[idx]).
+  double adjacent(graph::NodeId i, std::size_t idx) const noexcept {
+    return out_[offsets_[i] + idx];
+  }
+
+  /// Eq. 3 for a non-adjacent pair: one merge of the two neighbour rows,
+  /// summing over common friends in ascending order as fof_closeness()
+  /// does. Returns false (leaving `out` alone) when there is none.
+  bool fof(const graph::SocialGraph& g, graph::NodeId i, graph::NodeId j,
+           double& out) const noexcept;
+
+  /// Eq. 4 over `path` (inclusive), as bottleneck_closeness().
+  double bottleneck(const graph::SocialGraph& g,
+                    std::span<const graph::NodeId> path) const noexcept;
+
+  /// Full Omega_c(i,j), branch for branch as ClosenessModel::closeness().
+  /// `adj_idx` is j's index in neighbors(i) (kNotAdjacent otherwise);
+  /// `path_of()` must return the lex-min shortest path i -> j (empty when
+  /// unreachable) and is called only when the bottleneck branch is taken.
+  template <class PathFn>
+  double closeness(const graph::SocialGraph& g, graph::NodeId i,
+                   graph::NodeId j, std::size_t adj_idx,
+                   PathFn&& path_of) const {
+    if (i == j) return 0.0;
+    if (adj_idx != kNotAdjacent) return adjacent(i, adj_idx);
+    double sum = 0.0;
+    if (fof(g, i, j, sum)) return sum;
+    return bottleneck(g, path_of());
+  }
+
+ private:
+  std::vector<std::uint64_t> offsets_;  ///< row starts, as the CSR's
+  std::vector<double> out_;  ///< Omega_c(a, b) of half-edge (a, b)
+  std::vector<double> in_;   ///< Omega_c(b, a) of half-edge (a, b)
+  std::vector<std::uint64_t> cursor_;  ///< build() scratch
 };
 
 }  // namespace st::core

@@ -1,6 +1,7 @@
 #include "core/similarity.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace st::core {
@@ -211,21 +212,33 @@ double InterestProfiles::similarity(NodeId a, NodeId b) const {
 double InterestProfiles::weighted_similarity(NodeId a, NodeId b) const {
   check_node(a);
   check_node(b);
-  std::vector<InterestId> va = effective(a);
-  std::vector<InterestId> vb = effective(b);
-  if (va.empty() || vb.empty()) return 0.0;
+  // The histogram intersection over the two effective sets, evaluated in
+  // one ascending pass over the categories instead of materialising
+  // effective(a) and effective(b): category c is in a's effective set iff
+  // a declared it or requested from it, and each common category adds
+  // min(ws(a,c), ws(b,c)) in the same ascending order the set merge
+  // visits them — so the sum is bit-identical, allocation-free.
+  const Row da = row(a);
+  const Row db = row(b);
+  const double* counts_a = request_counts_.data() + a * categories_;
+  const double* counts_b = request_counts_.data() + b * categories_;
+  const double total_a = request_totals_[a];
+  const double total_b = request_totals_[b];
+  const auto weight = [](double count, double total) {
+    return total <= 0.0 ? 0.0 : count / total;  // request_weight()
+  };
   double sum = 0.0;
-  auto ia = va.begin();
-  auto ib = vb.begin();
-  while (ia != va.end() && ib != vb.end()) {
-    if (*ia < *ib) {
-      ++ia;
-    } else if (*ib < *ia) {
-      ++ib;
-    } else {
-      sum += std::min(request_weight(a, *ia), request_weight(b, *ib));
-      ++ia;
-      ++ib;
+  std::size_t pa = 0;
+  std::size_t pb = 0;
+  for (std::size_t c = 0; c < categories_; ++c) {
+    const bool declared_a = pa < da.size && da.ids[pa] == c;
+    const bool declared_b = pb < db.size && db.ids[pb] == c;
+    pa += declared_a ? 1 : 0;
+    pb += declared_b ? 1 : 0;
+    if ((declared_a || counts_a[c] > 0.0) &&
+        (declared_b || counts_b[c] > 0.0)) {
+      sum += std::min(weight(counts_a[c], total_a),
+                      weight(counts_b[c], total_b));
     }
   }
   return sum;
@@ -254,6 +267,46 @@ double InterestProfiles::weighted_similarity_eq11(NodeId a, NodeId b) const {
   // Eq. (11) keeps Eq. (7)'s denominator; the numerator swaps set
   // membership for behavioural weight products.
   return sum / static_cast<double>(std::min(va.size(), vb.size()));
+}
+
+// --- SimilarityTable ---------------------------------------------------------
+
+bool SimilarityTable::build(const InterestProfiles& profiles) {
+  categories_ = profiles.categories_;
+  if (categories_ > kMaxCategories) return false;
+  const std::size_t n = profiles.node_count_;
+  masks_.resize(n);
+  weights_.resize(n * categories_);
+  for (std::size_t node = 0; node < n; ++node) {
+    const InterestProfiles::Row declared =
+        profiles.row(static_cast<NodeId>(node));
+    std::uint64_t mask = 0;
+    for (std::size_t k = 0; k < declared.size; ++k) {
+      mask |= std::uint64_t{1} << declared.ids[k];
+    }
+    const double* counts = profiles.request_counts_.data() + node * categories_;
+    const double total = profiles.request_totals_[node];
+    double* weights = weights_.data() + node * categories_;
+    for (std::size_t c = 0; c < categories_; ++c) {
+      if (counts[c] > 0.0) mask |= std::uint64_t{1} << c;
+      weights[c] = total <= 0.0 ? 0.0 : counts[c] / total;  // request_weight()
+    }
+    masks_[node] = mask;
+  }
+  return true;
+}
+
+double SimilarityTable::weighted_similarity(NodeId a,
+                                            NodeId b) const noexcept {
+  const double* wa = weights_.data() + static_cast<std::size_t>(a) * categories_;
+  const double* wb = weights_.data() + static_cast<std::size_t>(b) * categories_;
+  double sum = 0.0;
+  for (std::uint64_t common = masks_[a] & masks_[b]; common != 0;
+       common &= common - 1) {
+    const auto c = static_cast<std::size_t>(std::countr_zero(common));
+    sum += std::min(wa[c], wb[c]);
+  }
+  return sum;
 }
 
 }  // namespace st::core

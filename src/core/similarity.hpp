@@ -125,6 +125,8 @@ class InterestProfiles {
   static constexpr std::size_t kRebuildFraction = 4;
 
  private:
+  friend class SimilarityTable;  // reads rows and request counts to build
+
   static constexpr std::uint32_t kNoOverlay = 0xFFFFFFFFU;
 
   struct Row {
@@ -169,6 +171,32 @@ class InterestProfiles {
   std::vector<Revision> revisions_;
   Revision epoch_ = 0;
   std::uint64_t rebuilds_ = 0;
+};
+
+/// Allocation-free weighted_similarity() for intervals that recompute
+/// most pairs (the plugin's dense path, DESIGN.md §14). build() snapshots
+/// every node's effective interest set as a bitmask and its request
+/// weights ws(node, c), so a pair costs a walk over the set bits of
+/// mask(a) & mask(b): exactly the categories the effective-set merge
+/// visits, in the same ascending order, adding the same
+/// min(ws(a,c), ws(b,c)) terms — bit-identical to weighted_similarity().
+/// A built table is a snapshot: valid until the profiles' next mutation.
+class SimilarityTable {
+ public:
+  /// Largest category count a bitmask covers; build() declines above it.
+  static constexpr std::size_t kMaxCategories = 64;
+
+  /// Snapshots `profiles`; returns false (table unusable) when they have
+  /// more than kMaxCategories categories.
+  bool build(const InterestProfiles& profiles);
+
+  /// weighted_similarity(a, b) over the snapshot.
+  double weighted_similarity(NodeId a, NodeId b) const noexcept;
+
+ private:
+  std::size_t categories_ = 0;
+  std::vector<std::uint64_t> masks_;  ///< effective set of each node
+  std::vector<double> weights_;       ///< ws(node, c), node-major
 };
 
 }  // namespace st::core

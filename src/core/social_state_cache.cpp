@@ -109,8 +109,9 @@ std::vector<SocialStateCache::NodeId> SocialStateCache::common_cached(
   return common;
 }
 
-std::vector<SocialStateCache::NodeId> SocialStateCache::path_cached(
-    const graph::SocialGraph& g, NodeId i, NodeId j, std::size_t max_hops) {
+void SocialStateCache::shortest_path(const graph::SocialGraph& g, NodeId i,
+                                     NodeId j, std::vector<NodeId>& out,
+                                     std::size_t max_hops) {
   const std::uint64_t key = pack(i, j);
   Shard& shard = shards_[shard_of(key)];
   const Revision aepoch = g.edge_addition_epoch();
@@ -128,7 +129,8 @@ std::vector<SocialStateCache::NodeId> SocialStateCache::path_cached(
       if (ok) {
         structure_hits_.fetch_add(1, std::memory_order_relaxed);
         obs_structure_hits_->add(1);
-        return entry.path;
+        out.assign(entry.path.begin(), entry.path.end());
+        return;
       }
       stale = true;
     }
@@ -152,11 +154,11 @@ std::vector<SocialStateCache::NodeId> SocialStateCache::path_cached(
       srevs.push_back(g.structure_revision(path[step]));
     }
   }
+  out.assign(path.begin(), path.end());
   {
     util::MutexLock lock(shard.mutex);
-    shard.paths[key] = PathEntry{path, aepoch, std::move(srevs)};
+    shard.paths[key] = PathEntry{std::move(path), aepoch, std::move(srevs)};
   }
-  return path;
 }
 
 double SocialStateCache::compute_closeness(const ClosenessModel& model,
@@ -189,7 +191,8 @@ double SocialStateCache::compute_closeness(const ClosenessModel& model,
     return model.fof_closeness(g, i, j, common);
   }
 
-  std::vector<NodeId> path = path_cached(g, i, j, max_hops);
+  std::vector<NodeId> path;
+  shortest_path(g, i, j, path, max_hops);
   if (path.size() < 2) {
     // Unreachable within max_hops: removals and type changes can never
     // make a pair reachable, so the entry lives until a brand-new

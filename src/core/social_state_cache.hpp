@@ -134,6 +134,15 @@ class SocialStateCache {
   double similarity(const InterestProfiles& profiles, NodeId a, NodeId b,
                     bool weighted);
 
+  /// The lex-min shortest path i -> j (inclusive) within `max_hops`, from
+  /// the structure layer: served while the entry's witnesses hold, else
+  /// re-derived by BFS and re-memoised. Written into `out` (reusing its
+  /// capacity); empty when unreachable. This is the path closeness()
+  /// evaluates Eq. 4 over — the plugin's dense path reads it directly so
+  /// it can skip the value layer without redoing the BFS.
+  void shortest_path(const graph::SocialGraph& g, NodeId i, NodeId j,
+                     std::vector<NodeId>& out, std::size_t max_hops = 6);
+
   /// Interval tick + generation-based eviction sweep. The plugin calls
   /// this at the top of every update(); it advances the cache's
   /// generation counter and, when `evict_after > 0`, drops every
@@ -377,10 +386,6 @@ class SocialStateCache {
   /// shard so no lock is held during downstream work).
   std::vector<NodeId> common_cached(const graph::SocialGraph& g, NodeId i,
                                     NodeId j);
-
-  /// Shortest path i -> j via the structure layer; empty = unreachable.
-  std::vector<NodeId> path_cached(const graph::SocialGraph& g, NodeId i,
-                                  NodeId j, std::size_t max_hops);
 
   /// Rebuild a shard's closeness witness/gate index (resp. similarity
   /// endpoint index) from its live entries once stale refs dominate.

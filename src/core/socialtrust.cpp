@@ -15,6 +15,16 @@ using reputation::NodeId;
 using reputation::PairKey;
 using reputation::Rating;
 
+namespace {
+
+/// robust_stats() over a copy: it reorders its input, and the pair
+/// coefficient arrays stay in canonical pair order for stage 4.
+CoefficientStats robust_stats_of(std::vector<double> values) {
+  return robust_stats(values);
+}
+
+}  // namespace
+
 SocialTrustPlugin::SocialTrustPlugin(
     std::unique_ptr<reputation::ReputationSystem> inner,
     const graph::SocialGraph& graph, const InterestProfiles& profiles,
@@ -134,6 +144,64 @@ double SocialTrustPlugin::similarity_of(NodeId i, NodeId j) const {
   return social_cache_.similarity(profiles_, i, j, config_.weighted_interests);
 }
 
+double SocialTrustPlugin::dense_similarity(NodeId i, NodeId j) const {
+  const NodeId lo = std::min(i, j);
+  const NodeId hi = std::max(i, j);
+  if (!config_.weighted_interests) return profiles_.similarity(lo, hi);
+  return similarity_table_ready_
+             ? similarity_table_.weighted_similarity(lo, hi)
+             : profiles_.weighted_similarity(lo, hi);
+}
+
+bool SocialTrustPlugin::scan_dense() {
+  const std::size_t n = graph_.size();
+  const bool primed = dense_revs_.size() == n;
+  dense_revs_.resize(n);
+  std::size_t changed = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const graph::SocialGraph::Revision rev =
+        graph_.revision(static_cast<NodeId>(v));
+    changed += dense_revs_[v] != rev ? 1 : 0;
+    dense_revs_[v] = rev;
+  }
+  return primed && n > 0 &&
+         static_cast<double>(changed) >=
+             kDenseFraction * static_cast<double>(n);
+}
+
+void SocialTrustPlugin::dense_rater(NodeId rater, bool whole_history,
+                                    std::vector<NodeId>& path) {
+  const std::vector<NodeId>& hist = rated_history_[rater];
+  const std::vector<std::uint32_t>& slots = hist_slots_[rater];
+  // Histories and neighbour rows are both sorted, so one cursor answers
+  // "adjacent, and at which row index?" for every ratee.
+  const std::span<const NodeId> friends = graph_.neighbors(rater);
+  std::size_t f = 0;
+  // Never carried (valid stays false): a dense interval computes outside
+  // the cache, whose witnesses are what makes carrying safe.
+  RaterAggregates agg;
+  for (std::size_t k = 0; k < hist.size(); ++k) {
+    const std::uint32_t slot = slots[k];
+    if (!whole_history && slot_stamp_[slot] != interval_seq_) continue;
+    const NodeId ratee = hist[k];
+    while (f < friends.size() && friends[f] < ratee) ++f;
+    const std::size_t adj = f < friends.size() && friends[f] == ratee
+                                ? f
+                                : ClosenessTable::kNotAdjacent;
+    const double c =
+        closeness_table_.closeness(graph_, rater, ratee, adj, [&] {
+          social_cache_.shortest_path(graph_, rater, ratee, path);
+          return std::span<const NodeId>(path);
+        });
+    const double sim = dense_similarity(rater, ratee);
+    slot_coeff_[slot] = PairCoeff{c, sim};
+    slot_valid_[slot] = 0;
+    agg.closeness.add(c);
+    agg.similarity.add(sim);
+  }
+  if (whole_history) rater_agg_[rater] = agg;
+}
+
 SocialTrustPlugin::LooAggregate SocialTrustPlugin::aggregate_over(
     NodeId rater, const std::vector<NodeId>& ratees, bool closeness) const {
   LooAggregate agg;
@@ -153,7 +221,9 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
   // Stage timers (no-ops when st::obs is disabled). The three stage
   // spans cover: collect = pair tally + sort + coefficient collection +
   // system baseline; loo = per-rater leave-one-out aggregates; adjust =
-  // detect-and-adjust + ordered reduction.
+  // detect-and-adjust + ordered reduction. On a dense interval the
+  // coefficients and the system baseline move into loo, with the history
+  // pass that produces them.
   obs::ScopedTimer total_timer(*obs_.total_us);
   obs::ScopedTimer collect_timer(*obs_.collect_us);
   double collect_us = 0.0, loo_us = 0.0, adjust_us = 0.0;
@@ -332,15 +402,25 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
   double avg_freq =
       n_pairs == 0 ? 0.0 : total_count / static_cast<double>(n_pairs);
 
-  // 2b. Dirty worklist derivation (dirty mode only): drain the cache's
-  // invalidated-key report and apply it to the carried state. A dirty
-  // closeness key (i,j) kills pair (i,j)'s coefficients and rater i's
-  // aggregates (they sum closeness(i, *)); a dirty similarity key is
-  // canonical, so it kills both directions and both endpoints' aggregates.
+  // 2b. Dirty worklist derivation (dirty mode only). The revision scan
+  // first decides whether the interval is dense (kDenseFraction). A dense
+  // interval skips the rest: the history pass below recomputes every
+  // pair it needs outside the value cache and carries nothing, so the
+  // next sparse interval's collect_dirty() — diffing against its own,
+  // older snapshot — reports a superset of what changed meanwhile.
+  // Otherwise drain the cache's invalidated-key report and apply it to
+  // the carried state. A dirty closeness key (i,j) kills pair (i,j)'s
+  // coefficients and rater i's aggregates (they sum closeness(i, *)); a
+  // dirty similarity key is canonical, so it kills both directions and
+  // both endpoints' aggregates.
+  bool dense = false;
   if (dirty_mode) {
     obs::ScopedTimer scan_timer(*obs_.dirty_scan_us);
+    dense = scan_dense();
+    dirty_stats_.dense = dense;
     const SocialStateCache::DirtyKeys dirty =
-        social_cache_.collect_dirty(graph_, profiles_);
+        dense ? SocialStateCache::DirtyKeys{}
+              : social_cache_.collect_dirty(graph_, profiles_);
     auto kill_slot = [this](NodeId rater, NodeId ratee) {
       const std::uint32_t slot = slot_of(rater, ratee);
       if (slot != kNoSlot) slot_valid_[slot] = 0;
@@ -370,9 +450,12 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
   // back to the slot arrays serially. Either way pair_c/pair_s hold the
   // exact values a full recompute yields — carried entries are
   // witness-clean by construction — so everything downstream is
-  // schedule-independent.
+  // schedule-independent. Dense: nothing here; the history pass of stage
+  // 3c fills pair_c/pair_s.
   std::vector<double> pair_c(n_pairs), pair_s(n_pairs);
-  if (!dirty_mode) {
+  if (dense) {
+    dirty_stats_.pairs_dirty = n_pairs;
+  } else if (!dirty_mode) {
     dirty_stats_.pairs_dirty = n_pairs;
     run_blocks(n_pairs, [&](std::size_t begin, std::size_t end) {
       for (std::size_t i = begin; i < end; ++i) {
@@ -415,10 +498,13 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
   // statistics (median centre, MAD-derived width): colluding pairs can be
   // a sizeable fraction of the interval's pairs, and with mean/stddev the
   // attack would inflate the baseline spread enough to exonerate itself.
-  std::vector<double> sys_c_values = pair_c;
-  std::vector<double> sys_s_values = pair_s;
-  const CoefficientStats system_c = robust_stats(sys_c_values);
-  const CoefficientStats system_s = robust_stats(sys_s_values);
+  // On a dense interval the coefficients only exist after stage 3c, so
+  // the baselines are taken there.
+  CoefficientStats system_c, system_s;
+  if (!dense) {
+    system_c = robust_stats_of(pair_c);
+    system_s = robust_stats_of(pair_s);
+  }
   collect_us = collect_timer.stop();
 
   obs::ScopedTimer loo_timer(*obs_.loo_us);
@@ -428,12 +514,37 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
   const bool use_per_rater = config_.baseline != BaselineSource::kSystemWide;
   std::vector<NodeId> raters;  // sorted, unique (work is rater-sorted)
   std::vector<LooAggregate> rater_c_agg, rater_s_agg;
-  if (use_per_rater) {
+  if (use_per_rater || dense) {
     raters.reserve(n_pairs);
     for (const PairKey& key : keys) {
       if (raters.empty() || raters.back() != key.rater)
         raters.push_back(key.rater);
     }
+  }
+  if (dense) {
+    // Dense history pass: each active rater's history is walked once, in
+    // history order, computing every coefficient exactly once into its
+    // slot and the rater's LOO aggregates in the same loop — the add()
+    // sequence aggregate_over() would replay, over the same bits. Raters
+    // own disjoint slots and aggregates, so the blocked pass is race-free.
+    dirty_stats_.raters_rebuilt = raters.size();
+    closeness_table_.build(closeness_model_, graph_);
+    similarity_table_ready_ =
+        config_.weighted_interests && similarity_table_.build(profiles_);
+    run_blocks(raters.size(), [&](std::size_t begin, std::size_t end) {
+      std::vector<NodeId> path;
+      for (std::size_t i = begin; i < end; ++i) {
+        dense_rater(raters[i], use_per_rater, path);
+      }
+    });
+    for (std::size_t i = 0; i < n_pairs; ++i) {
+      const PairCoeff& coeff = slot_coeff_[active_slots[i]];
+      pair_c[i] = coeff.closeness;
+      pair_s[i] = coeff.similarity;
+    }
+    system_c = robust_stats_of(pair_c);
+    system_s = robust_stats_of(pair_s);
+  } else if (use_per_rater) {
     if (!dirty_mode) {
       dirty_stats_.raters_rebuilt = raters.size();
       rater_c_agg.resize(raters.size());
@@ -610,6 +721,7 @@ void SocialTrustPlugin::update(std::span<const Rating> cycle_ratings) {
         {"pairs_dirty", static_cast<double>(dirty_stats_.pairs_dirty)},
         {"pairs_carried", static_cast<double>(dirty_stats_.pairs_carried)},
         {"dirty_scan_us", dirty_stats_.scan_us},
+        {"dense", dirty_stats_.dense ? 1.0 : 0.0},
         {"threads", static_cast<double>(effective_threads())},
     };
     obs::Obs::instance().emit_interval("socialtrust.update", name_, extras);
@@ -672,6 +784,7 @@ void SocialTrustPlugin::update_sharded(std::span<const Rating> cycle_ratings) {
         {"pairs_dirty", static_cast<double>(dirty_stats_.pairs_dirty)},
         {"pairs_carried", static_cast<double>(dirty_stats_.pairs_carried)},
         {"dirty_scan_us", dirty_stats_.scan_us},
+        {"dense", dirty_stats_.dense ? 1.0 : 0.0},
         {"threads", static_cast<double>(effective_threads())},
     };
     obs::Obs::instance().emit_interval("socialtrust.update", name_, extras);
@@ -733,6 +846,7 @@ void SocialTrustPlugin::reset() {
   slot_ratings_.clear();
   slot_active_idx_.clear();
   interval_seq_ = 0;
+  dense_revs_.clear();
   for (auto& agg : rater_agg_) agg = RaterAggregates{};
   adjusted_.clear();
   report_ = AdjustmentReport{};

@@ -50,7 +50,11 @@
 // the output is bit-identical to schedule == kFullWalk at every thread
 // count — the property the differential harness in
 // tests/incremental_state_test.cpp and tests/dirty_pair_property_test.cpp
-// pins down. See DESIGN.md §14.
+// pins down. When at least kDenseFraction of the nodes changed since the
+// last interval, tracking changes cannot pay: such a *dense* interval
+// skips the dirty scan and the value cache, walks each active rater's
+// history once with the allocation-free ClosenessTable/SimilarityTable
+// kernels, and carries nothing forward. See DESIGN.md §14.
 //
 // Observability: when the st::obs layer is enabled, update() times its
 // three stages (collect / leave-one-out / adjust), tallies pair and
@@ -147,7 +151,12 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
     std::size_t pairs_carried = 0;  ///< pairs served from carried state
     std::size_t raters_rebuilt = 0;  ///< LOO aggregates rebuilt
     std::size_t raters_carried = 0;  ///< LOO aggregates carried forward
-    double scan_us = 0.0;  ///< collect_dirty + worklist application time
+    /// Revision scan + collect_dirty + worklist application time (dense
+    /// intervals: the revision scan alone).
+    double scan_us = 0.0;
+    /// Dense interval: every active pair and active rater was recomputed
+    /// by the history pass, outside the value cache (see kDenseFraction).
+    bool dense = false;
   };
   const DirtyStats& last_dirty_stats() const noexcept { return dirty_stats_; }
 
@@ -166,6 +175,16 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
   /// function of the worker count — so the block reduction tree, and with
   /// it every floating-point sum, is identical for every `threads` value.
   static constexpr std::size_t kPairBlock = 128;
+
+  /// Dense-interval threshold of the dirty scheduler (DESIGN.md §14): an
+  /// update() is dense when at least this fraction of the graph's nodes
+  /// changed full revision since the previous update(). Tracking what
+  /// changed pays only when change is sparse, so a dense interval skips
+  /// collect_dirty() and the value cache and walks each active rater's
+  /// history once with the ClosenessTable kernels. The first update()
+  /// after construction or reset() is never dense. A decision on revision
+  /// data alone — never on timing — so it cannot change any output.
+  static constexpr double kDenseFraction = 0.5;
 
   /// Multiset aggregate supporting O(1) leave-one-out statistics: tracking
   /// the two smallest and two largest values lets us remove any single
@@ -231,6 +250,23 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
 
   double closeness_cached(reputation::NodeId i, reputation::NodeId j) const;
   double similarity_of(reputation::NodeId i, reputation::NodeId j) const;
+  /// similarity_of() without the cache, for the dense history pass: the
+  /// canonical-orientation evaluation the cache performs on a miss, read
+  /// from similarity_table_ when it is built.
+  double dense_similarity(reputation::NodeId i, reputation::NodeId j) const;
+
+  /// The revision scan of the dense rule: diffs every node's full graph
+  /// revision against the previous update()'s snapshot, refreshes the
+  /// snapshot, and reports whether the interval is dense.
+  bool scan_dense();
+  /// Dense history pass for one rater: computes each (rater, ratee)
+  /// coefficient once into slot_coeff_ (marking the slot not carried) and
+  /// the rater's leave-one-out aggregates in the same loop. With
+  /// `whole_history` false only this interval's active pairs are computed
+  /// and no aggregates are built (no per-rater baseline in use). `path`
+  /// is caller-owned scratch.
+  void dense_rater(reputation::NodeId rater, bool whole_history,
+                   std::vector<reputation::NodeId>& path);
   LooAggregate aggregate_over(reputation::NodeId rater,
                               const std::vector<reputation::NodeId>& ratees,
                               bool closeness) const;
@@ -329,6 +365,18 @@ class SocialTrustPlugin final : public reputation::ReputationSystem {
     bool valid = false;
   };
   std::vector<RaterAggregates> rater_agg_;
+
+  /// Per-node full graph revisions at the previous update() (dirty
+  /// schedule only) — the snapshot scan_dense() diffs against. Empty
+  /// until the first update() and after reset(), which is what keeps the
+  /// first interval sparse.
+  std::vector<graph::SocialGraph::Revision> dense_revs_;
+  /// Snapshots the dense history pass reads, rebuilt per dense interval
+  /// into reused buffers: Eq. 2/10 per half-edge, and (weighted interests
+  /// only; similarity_table_ready_) the effective-interest bitmasks.
+  ClosenessTable closeness_table_;
+  SimilarityTable similarity_table_;
+  bool similarity_table_ready_ = false;
 
   // Per-update scratch (rebuilt each call).
   std::vector<reputation::Rating> adjusted_;

@@ -339,6 +339,13 @@ std::span<const NodeId> SocialGraph::neighbors(NodeId a) const noexcept {
   return {row.targets, row.size};
 }
 
+std::span<const std::uint8_t> SocialGraph::relationship_masks(
+    NodeId a) const noexcept {
+  if (a >= node_count_) return {};
+  const RelRow row = rel_row(a);
+  return {row.masks, row.size};
+}
+
 std::size_t SocialGraph::degree(NodeId a) const noexcept {
   return a < node_count_ ? rel_row(a).size : 0;
 }

@@ -120,6 +120,11 @@ class SocialGraph {
   /// method (see the span-stability note above).
   std::span<const NodeId> neighbors(NodeId a) const noexcept;
 
+  /// Relationship bitmasks of a's edges, parallel to neighbors(a) (entry
+  /// k is relationship_mask(a, neighbors(a)[k]), never 0). Same
+  /// span-stability contract as neighbors().
+  std::span<const std::uint8_t> relationship_masks(NodeId a) const noexcept;
+
   std::size_t degree(NodeId a) const noexcept;
 
   /// Records `count` interactions from `from` to `to` — in the P2P mapping,

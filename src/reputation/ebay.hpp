@@ -14,6 +14,7 @@
 //     accumulator R_i is clamped at zero for normalisation so the published
 //     vector is a distribution (raw values remain queryable).
 
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -44,6 +45,13 @@ class EbayReputation final : public ReputationSystem {
 
   std::vector<double> raw_;
   std::vector<double> normalized_;
+
+  // update() scratch, kept to reuse capacity across intervals: valid
+  // rating indices (finally in (rater, ratee) order), the intermediate
+  // ratee-ordered pass, and the per-node bucket offsets.
+  std::vector<std::uint32_t> order_;
+  std::vector<std::uint32_t> staging_;
+  std::vector<std::uint32_t> bucket_;
 };
 
 }  // namespace st::reputation

@@ -59,9 +59,23 @@ Relationship random_relationship(stats::Rng& rng) {
 /// of whatever pairs already exist (no substrate mutation — these are the
 /// intervals where pairs genuinely carry). Structural and profile edits
 /// land with small probabilities so most interleavings mix clean and
-/// dirty state in the same interval.
+/// dirty state in the same interval. Each interval also draws a churn
+/// level, so every run mixes the scheduler's dense intervals (at least
+/// SocialTrustPlugin::kDenseFraction of the nodes changed) with sparse
+/// ones: quiet intervals have few transactions, regular ones land near
+/// the density threshold, and bursts make most nodes interact.
 std::vector<Rating> random_interval(stats::Rng& rng, SocialGraph& g,
                                     InterestProfiles& profiles) {
+  const double level = rng.uniform();
+  const double transaction_p = level < 0.5 ? 0.1 : 0.4;
+  if (level >= 0.85) {  // burst
+    for (graph::NodeId v = 0; v < kNodes; ++v) {
+      if (!rng.bernoulli(0.9)) continue;
+      auto peer = static_cast<graph::NodeId>(rng.index(kNodes));
+      if (peer == v) peer = (peer + 1) % kNodes;
+      g.record_interaction(v, peer);
+    }
+  }
   std::vector<Rating> ratings;
   const std::size_t n_ratings = 40 + rng.index(80);
   for (std::size_t q = 0; q < n_ratings; ++q) {
@@ -73,7 +87,7 @@ std::vector<Rating> random_interval(stats::Rng& rng, SocialGraph& g,
     ratings.push_back(Rating{rater, ratee,
                              rng.bernoulli(0.75) ? 1.0 : -1.0, 0, 0,
                              interest});
-    if (rng.bernoulli(0.4)) {  // transaction rating: substrate churn
+    if (rng.bernoulli(transaction_p)) {  // transaction: substrate churn
       g.record_interaction(rater, ratee);
       profiles.record_request(rater, interest);
     }
@@ -177,6 +191,7 @@ void run_property(std::uint64_t seed, std::size_t threads) {
   auto dirty = make_plugin(dirty_cfg);
 
   std::size_t carried_total = 0;
+  std::size_t dense_total = 0;
   for (std::size_t t = 0; t < kIntervals; ++t) {
     // Occasional whitewash: a random non-pretrusted identity is forgotten
     // and its social state cleared, exactly as Simulator::whitewash does
@@ -202,10 +217,14 @@ void run_property(std::uint64_t seed, std::size_t threads) {
     ASSERT_EQ(stats.pairs_dirty + stats.pairs_carried,
               dirty->last_report().pairs_total);
     carried_total += stats.pairs_carried;
+    dense_total += stats.dense ? 1 : 0;
   }
   // Re-ratings of unchurned pairs must actually have exercised the carry
   // path, or the property degenerates to full-vs-full.
   EXPECT_GT(carried_total, 0U);
+  // And the dense path with its hand-offs back to the carry path, or
+  // the property never leaves the sparse scheduler.
+  EXPECT_GT(dense_total, 0U);
 }
 
 class DirtyPairProperty

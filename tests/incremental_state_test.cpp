@@ -858,7 +858,11 @@ TEST(FullVsDirtyDirect, SparseChurnCarriesPairsBitIdentically) {
   // Seed interactions and requests once so closeness/similarity are
   // non-trivial before the rating stream starts.
   for (graph::NodeId n = 0; n < kNodes; ++n) {
-    for (graph::NodeId nb : g.neighbors(n)) {
+    // Copy the row: record_interaction() may compact the graph and free
+    // the span's storage.
+    const auto row = g.neighbors(n);
+    const std::vector<graph::NodeId> friends(row.begin(), row.end());
+    for (graph::NodeId nb : friends) {
       g.record_interaction(n, nb, 1.0 + static_cast<double>((n + nb) % 3));
     }
     profiles.record_request(n, static_cast<reputation::InterestId>(n % 16),
@@ -963,6 +967,123 @@ TEST(FullVsDirtyDirect, SparseChurnCarriesPairsBitIdentically) {
   EXPECT_GT(carried_total, 0U);
   EXPECT_TRUE(saw_fully_clean_interval);
 }
+
+/// Dense/sparse hand-off (DESIGN.md §14): a dense interval computes
+/// outside the value cache and skips collect_dirty(), so the next sparse
+/// interval's sweep diffs against an older revision snapshot. Odd raters
+/// rate only in sparse intervals, so their slots stay carried across
+/// each dense interval while the dense churn changes their coefficients
+/// — a hand-off that misses a change serves them stale. The sequence
+/// first (never dense) -> dense -> sparse -> sparse -> forget_node ->
+/// dense -> sparse -> sparse is bit-compared against a cold kFullWalk
+/// oracle at every interval.
+class DenseHandOff : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(DenseHandOff, SparseAfterDenseMatchesColdFullWalk) {
+  constexpr std::size_t kNodes = 64;
+  stats::Rng rng(4242);
+  SocialGraph g = graph::watts_strogatz(kNodes, 6, 0.15, rng);
+  InterestProfiles profiles(kNodes, 16);
+  for (graph::NodeId n = 0; n < kNodes; ++n) {
+    const reputation::InterestId ints[] = {
+        static_cast<reputation::InterestId>(n % 16),
+        static_cast<reputation::InterestId>((n + 3) % 16)};
+    profiles.set_interests(n, ints);
+    const auto row = g.neighbors(n);
+    const std::vector<graph::NodeId> friends(row.begin(), row.end());
+    for (graph::NodeId nb : friends) {
+      g.record_interaction(n, nb, 1.0 + static_cast<double>((n + nb) % 3));
+    }
+    profiles.record_request(n, static_cast<reputation::InterestId>(n % 16),
+                            2.0);
+  }
+
+  core::SocialTrustConfig oracle_cfg;
+  oracle_cfg.threads = GetParam();
+  oracle_cfg.schedule = core::UpdateSchedule::kFullWalk;
+  core::SocialTrustConfig dirty_cfg = oracle_cfg;
+  dirty_cfg.schedule = core::UpdateSchedule::kDirtyPairs;
+  auto make_plugin = [&](const core::SocialTrustConfig& cfg) {
+    return std::make_unique<SocialTrustPlugin>(
+        std::make_unique<reputation::PaperEigenTrust>(
+            kNodes, std::vector<reputation::NodeId>{0, 1},
+            reputation::PaperEigenTrustConfig{}),
+        g, profiles, cfg);
+  };
+  auto oracle = make_plugin(oracle_cfg);
+  auto dirty = make_plugin(dirty_cfg);
+
+  const bool kDense[] = {false, true, false, false, true, false, false};
+  const reputation::NodeId w = 9;  // whitewashed before interval 4
+  std::size_t carried_total = 0;
+  for (std::size_t t = 0; t < std::size(kDense); ++t) {
+    stats::Rng interval_rng(7000 + t);
+    std::vector<Rating> ratings;
+    for (reputation::NodeId r = 0; r < kNodes; ++r) {
+      if (kDense[t] && r % 2 == 1) continue;
+      for (reputation::NodeId k = 1; k <= 3; ++k) {
+        ratings.push_back(Rating{
+            r, static_cast<reputation::NodeId>((r + 5 * k) % kNodes),
+            interval_rng.bernoulli(0.8) ? 1.0 : -1.0, 0, 0,
+            static_cast<reputation::InterestId>(interval_rng.index(16))});
+      }
+    }
+    if (t == 4) {
+      oracle->forget_node(w);
+      dirty->forget_node(w);
+      g.clear_node(w);
+      profiles.clear_requests(w);
+    }
+    if (kDense[t]) {
+      // Every node interacts: all full revisions move, and with them the
+      // Eq. 2 closeness the odd raters' carried slots were computed from.
+      for (graph::NodeId n = 0; n < kNodes; ++n) {
+        g.record_interaction(n, g.neighbors(n).empty()
+                                    ? (n + 1) % kNodes
+                                    : g.neighbors(n)[0],
+                             1.0 + static_cast<double>(n % 4));
+      }
+    } else if (t > 0) {
+      // Sparse churn: one interaction, one new edge, one request.
+      const auto a = static_cast<graph::NodeId>(interval_rng.index(kNodes));
+      g.record_interaction(a, (a + 7) % kNodes, 1.0);
+      g.add_relationship(a, (a + 13) % kNodes, Relationship::kColleague);
+      profiles.record_request(a, static_cast<reputation::InterestId>(t), 1.0);
+    }
+
+    oracle->social_cache().clear();
+    oracle->update(ratings);
+    dirty->update(ratings);
+
+    IntervalRecord oa, da;
+    auto o_adj = oracle->last_adjusted();
+    oa.adjusted.assign(o_adj.begin(), o_adj.end());
+    oa.report = oracle->last_report();
+    auto o_rep = oracle->reputations();
+    oa.reputations.assign(o_rep.begin(), o_rep.end());
+    auto d_adj = dirty->last_adjusted();
+    da.adjusted.assign(d_adj.begin(), d_adj.end());
+    da.report = dirty->last_report();
+    auto d_rep = dirty->reputations();
+    da.reputations.assign(d_rep.begin(), d_rep.end());
+    expect_record_identical(oa, da, "interval " + std::to_string(t));
+
+    const auto& stats = dirty->last_dirty_stats();
+    ASSERT_EQ(stats.dense, kDense[t]) << "interval " << t;
+    EXPECT_EQ(stats.pairs_dirty + stats.pairs_carried,
+              da.report.pairs_total);
+    if (stats.dense) {
+      EXPECT_EQ(stats.pairs_carried, 0U);
+    }
+    carried_total += stats.pairs_carried;
+  }
+  // The sparse intervals must really have carried state across the
+  // dense ones, or this degenerates to a dense-vs-full comparison.
+  EXPECT_GT(carried_total, 0U);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, DenseHandOff,
+                         ::testing::Values(1UL, 2UL, 4UL));
 
 }  // namespace
 }  // namespace st

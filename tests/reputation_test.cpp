@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "reputation/ebay.hpp"
 #include "reputation/eigentrust.hpp"
@@ -389,6 +394,60 @@ TEST(Ebay, ResetClearsState) {
   ebay.reset();
   EXPECT_DOUBLE_EQ(ebay.raw_score(1), 0.0);
   EXPECT_DOUBLE_EQ(ebay.reputation(1), 0.0);
+}
+
+/// The hash-map formulation of EbayReputation::update() — per-pair sums in
+/// an unordered_map, flattened and sorted by (rater, ratee), then reduced
+/// into the raw scores — kept as the oracle for the counting-pass one.
+void reference_ebay_update(std::vector<double>& raw,
+                           const std::vector<Rating>& ratings) {
+  std::unordered_map<PairKey, double, PairKeyHash> pair_sums;
+  for (const Rating& r : ratings) {
+    if (r.rater >= raw.size() || r.ratee >= raw.size() || r.rater == r.ratee)
+      continue;
+    pair_sums[PairKey{r.rater, r.ratee}] += r.value;
+  }
+  std::vector<std::pair<PairKey, double>> ordered(pair_sums.begin(),
+                                                  pair_sums.end());
+  std::sort(ordered.begin(), ordered.end(),
+            [](const auto& a, const auto& b) {
+              return a.first.rater != b.first.rater
+                         ? a.first.rater < b.first.rater
+                         : a.first.ratee < b.first.ratee;
+            });
+  for (const auto& [key, sum] : ordered) {
+    raw[key.ratee] += std::clamp(sum, -1.0, 1.0);
+  }
+}
+
+TEST(Ebay, CountingPassMatchesHashMapReductionOnShuffledStreams) {
+  constexpr std::size_t kNodes = 40;
+  for (std::uint64_t seed : {7ULL, 8ULL, 9ULL}) {
+    stats::Rng rng(seed);
+    EbayReputation ebay(kNodes);
+    std::vector<double> raw(kNodes, 0.0);
+    for (int interval = 0; interval < 6; ++interval) {
+      // Repeated pairs with fractional values (the plugin's rescaled
+      // stream), plus self and out-of-range ratings that must be skipped.
+      std::vector<Rating> ratings;
+      for (int k = 0; k < 400; ++k) {
+        const auto rater = static_cast<NodeId>(rng.index(kNodes / 4));
+        const auto ratee = static_cast<NodeId>(rng.index(kNodes + 2));
+        const double value = rng.bernoulli(0.7)
+                                 ? rng.uniform(0.0, 1.0)
+                                 : -rng.uniform(0.0, 1.0);
+        ratings.push_back(make(rater, ratee, value));
+      }
+      rng.shuffle(std::span<Rating>(ratings));
+      ebay.update(ratings);
+      reference_ebay_update(raw, ratings);
+      for (NodeId v = 0; v < kNodes; ++v) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(ebay.raw_score(v)),
+                  std::bit_cast<std::uint64_t>(raw[v]))
+            << "seed " << seed << " interval " << interval << " node " << v;
+      }
+    }
+  }
 }
 
 TEST(Ebay, Validation) {
